@@ -1,17 +1,13 @@
 """Campaign engine benchmarks: pool-mode throughput and warm-cache latency.
 
 Not a paper figure — these measure the batch engine the figure campaigns
-run on.  Four metrics:
+run on.  Three metrics:
 
 * ``campaign_scenarios_per_sec`` — units/sec of the default ``warm``
   persistent-worker pool on a 48-unit uncached grid of deliberately short
   simulations.  Short units make the measurement engine-dominated: it
   tracks dispatch/IPC/fork overhead, which is what the campaign engine
   owns, rather than simulator speed (``bench_kernel`` owns that);
-* ``campaign_scenarios_per_sec_per_attempt`` — the same grid through the
-  fork-per-attempt fallback backend.  The committed warm-vs-per-attempt
-  ratio is the documented payoff of the persistent pool (one fork per
-  worker instead of one per unit);
 * ``full_run_packets_per_sec`` — delivered packets per wall-clock second
   of the standard 4-hop, 10 s Muzha run, the end-to-end anchor for the
   allocation-churn work (``__slots__`` packet/segment/frame types, interned
@@ -29,8 +25,9 @@ Two entry points:
 * ``pytest benchmarks/bench_campaign.py`` — the same claims as
   pytest-benchmark cases, marked ``perf`` and excluded from tier-1.
 
-Every mode comparison also asserts byte-identical campaign fingerprints:
-a faster backend that changed the numbers would be a bug, not a win.
+The warm pool's fingerprint is also checked byte-for-byte against the
+``inproc`` backend's: a faster backend that changed the numbers would be a
+bug, not a win.
 """
 
 from __future__ import annotations
@@ -147,16 +144,15 @@ def measure_all(fast: bool = False) -> Dict[str, float]:
     try:
         calibration = _rate(run_calibration, 2 if fast else 5)
         warm, warm_fp = _engine_rate("warm", reps)
-        per_attempt, pa_fp = _engine_rate("per-attempt", reps)
-        if warm_fp != pa_fp:
+        _, inproc_fp = run_engine_campaign("inproc")
+        if warm_fp != inproc_fp:
             raise AssertionError(
                 f"pool mode changed the campaign metrics: warm fingerprint "
-                f"{warm_fp} != per-attempt {pa_fp}"
+                f"{warm_fp} != inproc {inproc_fp}"
             )
         return {
             "calibration_ops_per_sec": calibration,
             "campaign_scenarios_per_sec": warm,
-            "campaign_scenarios_per_sec_per_attempt": per_attempt,
             "full_run_packets_per_sec": _rate(run_full_run, 1 if fast else 2),
         }
     finally:
@@ -168,32 +164,6 @@ def measure_all(fast: bool = False) -> Dict[str, float]:
 # Imported lazily in measure_all for the standalone path; pytest collection
 # imports conftest helpers the usual way.
 from conftest import banner, run_once  # noqa: E402
-
-
-def test_warm_pool_beats_per_attempt(benchmark):
-    """The persistent pool amortizes forks: >= 1.3x on the 48-unit grid.
-
-    (The committed baseline documents >= 2x; the in-test floor is looser so
-    hardware drift does not flake the suite.)
-    """
-    pa_start = time.perf_counter()
-    _, pa_fp = run_engine_campaign("per-attempt")
-    pa_elapsed = time.perf_counter() - pa_start
-
-    warm_start = time.perf_counter()
-    warm_fp = run_once(benchmark, lambda: run_engine_campaign("warm"))[1]
-    warm_elapsed = time.perf_counter() - warm_start
-
-    speedup = pa_elapsed / max(warm_elapsed, 1e-9)
-    banner("campaign engine — warm pool vs fork-per-attempt")
-    print(f"grid              : 48 units x {ENGINE_SIM_TIME:g}s, "
-          f"workers={ENGINE_JOBS}")
-    print(f"per-attempt       : {pa_elapsed:6.2f}s")
-    print(f"warm pool         : {warm_elapsed:6.2f}s")
-    print(f"speedup           : {speedup:5.2f}x")
-
-    assert warm_fp == pa_fp, "pool mode changed the campaign's metrics"
-    assert speedup >= 1.3, f"expected >=1.3x warm speedup, got {speedup:.2f}x"
 
 
 def test_campaign_parallel_speedup(benchmark):
@@ -280,10 +250,6 @@ def build_report(current: Dict[str, float], baseline: dict) -> dict:
                 f"{ENGINE_SIM_TIME:g}s), workers={ENGINE_JOBS}, uncached",
         "metrics": metrics,
     }
-    warm = current.get("campaign_scenarios_per_sec")
-    per_attempt = current.get("campaign_scenarios_per_sec_per_attempt")
-    if warm and per_attempt:
-        report["warm_speedup_vs_per_attempt"] = round(warm / per_attempt, 2)
     if speed_factor is not None:
         report["machine_speed_factor"] = round(speed_factor, 3)
     return report
@@ -325,9 +291,6 @@ def main(argv=None) -> int:
         if "ratio_vs_baseline" in entry:
             line += f"  ({entry['ratio_vs_baseline']:.2f}x vs committed)"
         print(line)
-    if "warm_speedup_vs_per_attempt" in report:
-        print(f"\nwarm pool speedup vs fork-per-attempt: "
-              f"{report['warm_speedup_vs_per_attempt']:.2f}x")
 
     out = Path(args.json)
     out.parent.mkdir(parents=True, exist_ok=True)

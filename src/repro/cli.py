@@ -293,6 +293,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "--listen/--agents configure the TCP transport: they require "
             "--pool-mode cluster"
         )
+    if args.pool_mode == "inproc" and args.task_timeout is not None:
+        raise SystemExit(
+            "--task-timeout needs a worker process to kill: it requires "
+            "--pool-mode warm or cluster, not inproc"
+        )
     transport = None
     cli_owns_transport = False
     if args.pool_mode == "cluster":
@@ -695,13 +700,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--pool-mode", choices=list(POOL_MODES), default="warm",
                           help="execution backend: 'warm' (default) keeps a "
                                "persistent pool of workers and streams batches "
-                               "to them; 'per-attempt' forks a fresh process "
-                               "per unit attempt (slower, but maximum isolation "
-                               "— prefer it when a unit corrupts interpreter "
-                               "state, e.g. leaks globals or C-level state, and "
-                               "a warm worker must not carry that into the next "
-                               "unit); 'inproc' runs everything in this process "
-                               "(no isolation, no timeouts; best for debugging); "
+                               "to them; 'inproc' runs everything in this "
+                               "process under the same supervisor (no "
+                               "isolation, no --task-timeout; best for "
+                               "debugging); "
                                "'cluster' runs the pool over a TCP transport so "
                                "worker agents — self-spawned locally or started "
                                "on other hosts with `repro-muzha worker` — can "

@@ -5,8 +5,8 @@ replication — of mutually independent simulation runs.  This module turns
 that grid into a batch workload:
 
 * :func:`run_campaign` fans :class:`repro.experiments.runner.RunSpec` units
-  out over supervised ``multiprocessing`` workers (``jobs`` at a time,
-  default ``os.cpu_count()``);
+  out over supervised workers (``jobs`` at a time, default
+  ``os.cpu_count()``);
 * every run's master seed is derived from its ``(scenario, replication)``
   key via :func:`repro.sim.rng.derive_run_seed`, so metrics are
   bit-identical whatever the worker count, pool mode, batching, or
@@ -16,21 +16,18 @@ that grid into a batch workload:
   plus the code schema version — so re-running a campaign only executes
   scenarios whose parameters (or the simulator itself) changed.
 
-Execution backends (``pool_mode``):
+Execution backends (``pool_mode``), all driven by one supervisor loop
+(:func:`_run_pool`) over a pluggable :mod:`~repro.experiments.transport`:
 
 * ``"warm"`` (default) — a persistent pool of long-lived supervised
   workers.  Each worker is forked once, pulls batches of units over its own
   duplex pipe, and streams one result message back per unit as it
   completes, so interpreter startup and module import are amortised over
-  the whole campaign instead of being paid per attempt.
-* ``"per-attempt"`` — the PR-4 model: one freshly forked process per
-  attempt.  Slower on short runs, but every attempt gets a pristine
-  interpreter; prefer it when hunting state-leak bugs or when a unit is
-  suspected of corrupting interpreter-global state.
-* ``"inproc"`` — everything in the coordinating process, no forks, no
-  watchdog.  The debugging backend (breakpoints and monkeypatches apply
-  directly).
-* ``"cluster"`` — the warm pool's supervisor loop over a TCP transport
+  the whole campaign instead of being paid per unit.
+* ``"inproc"`` — the coordinating process is the pool's single worker: no
+  forks and no watchdog (a ``task_timeout`` is rejected).  The debugging
+  backend (breakpoints and monkeypatches apply directly).
+* ``"cluster"`` — the same loop over a TCP transport
   (:class:`repro.experiments.transport.TcpTransport`): worker *agents*
   (``repro-muzha worker --connect HOST:PORT``) dial the coordinator's
   listener — from other hosts, or self-spawned locally — and pull units
@@ -39,16 +36,16 @@ Execution backends (``pool_mode``):
   necessarily the work).  Shards share one content-addressed cache via
   :mod:`repro.experiments.cachestore`.
 
-Self-healing (``warm`` and ``per-attempt``): each attempt runs under a
-supervisor with an optional wall-clock watchdog
-(:class:`RetryPolicy.task_timeout`).  A worker that crashes, is killed, or
-hangs past its deadline is terminated — and, in warm mode, transparently
-replaced by a freshly forked worker — while the unit is retried with
-exponential backoff up to :class:`RetryPolicy.max_retries` times; a unit
-that exhausts its retries is *quarantined* — recorded in
+Self-healing (every backend): each attempt runs under the supervisor,
+with an optional wall-clock watchdog (:class:`RetryPolicy.task_timeout`)
+for backends whose workers can be killed.  A worker that crashes, is
+killed, or hangs past its deadline is terminated and transparently
+replaced, while the unit is retried with exponential backoff up to
+:class:`RetryPolicy.max_retries` times; a unit that fails (crash, hang or
+exception) past its retries is *quarantined* — recorded in
 ``CampaignResult.failed`` — and the rest of the campaign completes
 normally.  Units that were merely queued behind a crashed/hung unit on the
-same warm worker are requeued without being charged an attempt.  Cache
+same worker are requeued without being charged an attempt.  Cache
 entries carry a content checksum; a truncated or bit-flipped entry is
 detected on read, reported via :class:`CacheCorruptionWarning`, evicted,
 and transparently recomputed.  Cache hits short-circuit before dispatch:
@@ -78,21 +75,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..obs.engine import CampaignTelemetry
 from ..sim.rng import derive_run_seed
-# Re-exported for backward compatibility: the cache grew into its own
-# module (cachestore) when PR 10 added remote stores, but callers and
-# tests keep importing these names from here.
-from .cachestore import (  # noqa: F401
-    CLUSTER_REGISTRY_DIRNAME,
-    CacheCorruptionWarning,
-    CacheStore,
-    CampaignCache,
-    _envelope_checksum,
-    _fsync_dir,
-)
+from .cachestore import CLUSTER_REGISTRY_DIRNAME, CampaignCache
 from .config import CACHE_SCHEMA_VERSION, ScenarioConfig, stable_digest
 from .journal import CampaignJournal, JournalReplay
 from .runner import RunResult, RunSpec, execute_run
 from .transport import (
+    InprocTransport,
     PipeTransport,
     TcpTransport,
     Transport,
@@ -115,7 +103,7 @@ CRASH_ONCE_ENV = "REPRO_CAMPAIGN_CRASH_ONCE"
 BARRIER_ENV = "REPRO_CAMPAIGN_BARRIER"
 
 #: Execution backends accepted by :func:`run_campaign`'s ``pool_mode``.
-POOL_MODES = ("warm", "per-attempt", "inproc", "cluster")
+POOL_MODES = ("warm", "inproc", "cluster")
 
 #: Upper bound on how many units one warm-pool dispatch hands a worker.
 #: Small enough that a late straggler batch cannot serialise the tail of a
@@ -486,26 +474,6 @@ def _execute_unit(
     return index, result.to_dict(), result.manifest
 
 
-def _supervised_worker(conn, index: int, spec: RunSpec) -> None:
-    """Child-process shim around :func:`_execute_unit`.
-
-    Routes through ``_execute_unit`` (not ``execute_run`` directly) so test
-    monkeypatches of ``_execute_unit`` — inherited across ``fork`` — and the
-    :data:`CRASH_ONCE_ENV` hook apply to supervised execution too.
-    """
-    _reset_worker_signals()
-    try:
-        idx, metrics, manifest = _execute_unit((index, spec))
-        conn.send(("ok", idx, metrics, manifest))
-    except BaseException as exc:  # a worker must never die silently
-        try:
-            conn.send(("err", index, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
 def _pool_context() -> multiprocessing.context.BaseContext:
     # fork (where available) starts workers in milliseconds; results do not
     # depend on the start method because every run re-derives its RNG state
@@ -514,26 +482,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
-
-
-@dataclass
-class _Attempt:
-    """Supervisor bookkeeping for one in-flight worker process."""
-
-    run: CampaignRun
-    attempt: int  # 1-based
-    process: Any
-    conn: Any
-    deadline: Optional[float]  # time.monotonic watchdog cutoff
-    wid: str = ""  # telemetry worker id ("p<pid>")
-
-
-def _terminate(process) -> None:
-    process.terminate()
-    process.join(timeout=1.0)
-    if process.is_alive():  # pragma: no cover - SIGTERM ignored
-        process.kill()
-        process.join()
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +528,22 @@ def _warm_worker_main(conn) -> None:
         pass
 
 
+class _NoTelemetry:
+    """Telemetry off: takes every :class:`CampaignTelemetry` hook the
+    engine calls and does nothing, so no span or ledger work happens."""
+
+    def _ignore(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    begin_campaign = end_campaign = campaign_resumed = _ignore
+    campaign_interrupted = worker_spawned = worker_exited = tick = _ignore
+    batch_dispatched = unit_result = retry_scheduled = quarantined = _ignore
+    cache_hit = cache_miss = cache_evicted = progress = _ignore
+
+
+_Telemetry = Union[CampaignTelemetry, _NoTelemetry]
+
+
 @dataclass
 class _PoolWorker:
     """Supervisor bookkeeping for one connected worker (any transport).
@@ -600,29 +564,32 @@ class _PoolWorker:
         return not self.batch
 
 
+_StoreFn = Callable[[CampaignRun, Dict[str, Any], Optional[Dict[str, Any]]], None]
+
+
 def _run_pool(
     transport: Transport,
     pending: Sequence[CampaignRun],
     jobs: int,
     policy: RetryPolicy,
-    store: Callable[[CampaignRun, Dict[str, Any], Optional[Dict[str, Any]]], None],
+    store: _StoreFn,
+    store_hit: _StoreFn,
     quarantine: Callable[[FailedRun], None],
-    telemetry: Optional[CampaignTelemetry] = None,
-    shutdown: Optional[GracefulShutdown] = None,
-    store_hit: Optional[
-        Callable[[CampaignRun, Dict[str, Any], Optional[Dict[str, Any]]], None]
-    ] = None,
+    telemetry: _Telemetry,
+    shutdown: Optional[GracefulShutdown],
 ) -> None:
     """Run ``pending`` on a work-stealing pool of persistent workers.
 
-    The supervisor loop is transport-generic: ``transport`` provides the
-    :class:`~repro.experiments.transport.WorkerLink` objects — forked pipe
-    workers (:class:`~repro.experiments.transport.PipeTransport`, the warm
-    pool) or TCP worker agents (:class:`~repro.experiments.transport.
-    TcpTransport`, the cluster backend) — and the loop waits on links and
-    the transport's listener alike, so agents can join mid-campaign and
-    immediately start stealing units from the shared ready-queue.  Every
-    PR-4/PR-5 robustness guarantee carries over:
+    This is the campaign's only supervision loop, and it is
+    transport-generic: ``transport`` provides the
+    :class:`~repro.experiments.transport.WorkerLink` objects — the
+    coordinator itself (:class:`~repro.experiments.transport.
+    InprocTransport`), forked pipe workers (:class:`~repro.experiments.
+    transport.PipeTransport`, the warm pool) or TCP worker agents
+    (:class:`~repro.experiments.transport.TcpTransport`, the cluster
+    backend) — and the loop waits on links and the transport's listener
+    alike, so agents can join mid-campaign and immediately start stealing
+    units from the shared ready-queue.  The robustness guarantees:
 
     * a local worker that dies (crash, ``os._exit``, kill) is detected via
       pipe EOF; the unit it was executing is charged a failed attempt, the
@@ -665,13 +632,12 @@ def _run_pool(
             f"{link.host}:w{serial}" if link.remote else f"w{serial}"
         )
         workers[link] = _PoolWorker(link=link, wid=wid)
-        if telemetry is not None:
-            telemetry.worker_spawned(
-                wid,
-                link.pid if link.pid_is_local else None,
-                replacement=replacement,
-                host=link.host,
-            )
+        telemetry.worker_spawned(
+            wid,
+            link.pid if link.pid_is_local else None,
+            replacement=replacement,
+            host=link.host,
+        )
 
     def spawn(replacement: bool = False) -> None:
         link = transport.spawn()
@@ -681,8 +647,7 @@ def _run_pool(
     def handle_failure(run: CampaignRun, attempt: int, error: str) -> None:
         if attempt <= policy.max_retries:
             delay = policy.retry_delay(attempt)
-            if telemetry is not None:
-                telemetry.retry_scheduled(run.index, attempt, delay, error)
+            telemetry.retry_scheduled(run.index, attempt, delay, error)
             queue.append((time.monotonic() + delay, run, attempt + 1))
         else:
             quarantine(FailedRun(run=run, error=error, attempts=attempt))
@@ -719,42 +684,37 @@ def _run_pool(
                         f"connection lost mid-unit {seen} times "
                         f"(last exit code {code})"
                     )
-                    if telemetry is not None:
-                        telemetry.unit_result(
-                            worker.wid, run.index, attempt, "crash",
-                            scenario=run.scenario[:12],
-                            replication=run.replication, error=error,
-                        )
-                    handle_failure(run, attempt, error)
-            else:
-                error = f"worker crashed (exit code {code})"
-                if telemetry is not None:
                     telemetry.unit_result(
                         worker.wid, run.index, attempt, "crash",
                         scenario=run.scenario[:12],
                         replication=run.replication, error=error,
                     )
+                    handle_failure(run, attempt, error)
+            else:
+                error = f"worker crashed (exit code {code})"
+                telemetry.unit_result(
+                    worker.wid, run.index, attempt, "crash",
+                    scenario=run.scenario[:12],
+                    replication=run.replication, error=error,
+                )
                 handle_failure(run, attempt, error)
             requeue_innocent(worker)
-        if telemetry is not None:
-            telemetry.worker_exited(worker.wid, reason, exitcode=code)
+        telemetry.worker_exited(worker.wid, reason, exitcode=code)
 
     def on_worker_timeout(worker: _PoolWorker) -> None:
         retire(worker, kill=True)
         run, attempt = worker.batch.pop(0)
         error = f"timed out after {policy.task_timeout:g}s wall clock"
-        if telemetry is not None:
-            telemetry.unit_result(
-                worker.wid, run.index, attempt, "timeout",
-                scenario=run.scenario[:12], replication=run.replication,
-                error=error,
-            )
+        telemetry.unit_result(
+            worker.wid, run.index, attempt, "timeout",
+            scenario=run.scenario[:12], replication=run.replication,
+            error=error,
+        )
         handle_failure(run, attempt, error)
         requeue_innocent(worker)
-        if telemetry is not None:
-            telemetry.worker_exited(
-                worker.wid, "timeout", exitcode=worker.link.exitcode
-            )
+        telemetry.worker_exited(
+            worker.wid, "timeout", exitcode=worker.link.exitcode
+        )
 
     def on_message(worker: _PoolWorker, message: Tuple[Any, ...]) -> None:
         run, attempt = worker.batch.pop(0)
@@ -767,23 +727,21 @@ def _run_pool(
         kind = message[0]
         if kind in ("ok", "hit"):
             cached = kind == "hit"
-            if telemetry is not None:
-                telemetry.unit_result(
-                    worker.wid, run.index, attempt, "ok", cached=cached,
-                    scenario=run.scenario[:12], replication=run.replication,
-                    manifest=message[3],
-                )
-            if cached and store_hit is not None:
+            telemetry.unit_result(
+                worker.wid, run.index, attempt, "ok", cached=cached,
+                scenario=run.scenario[:12], replication=run.replication,
+                manifest=message[3],
+            )
+            if cached:
                 store_hit(run, message[2], message[3])
             else:
                 store(run, message[2], message[3])
         else:
-            if telemetry is not None:
-                telemetry.unit_result(
-                    worker.wid, run.index, attempt, "error",
-                    scenario=run.scenario[:12], replication=run.replication,
-                    error=message[2],
-                )
+            telemetry.unit_result(
+                worker.wid, run.index, attempt, "error",
+                scenario=run.scenario[:12], replication=run.replication,
+                error=message[2],
+            )
             handle_failure(run, attempt, message[2])
 
     def dispatch() -> None:
@@ -829,10 +787,9 @@ def _run_pool(
                 # corpse without blaming the head unit.
                 requeue_innocent(worker)
             else:
-                if telemetry is not None:
-                    telemetry.batch_dispatched(
-                        worker.wid, [run.index for run, _ in chunk]
-                    )
+                telemetry.batch_dispatched(
+                    worker.wid, [run.index for run, _ in chunk]
+                )
         queue.extend((0.0, run, attempt) for run, attempt in handout)
 
     if transport.can_spawn:
@@ -859,8 +816,7 @@ def _run_pool(
                 ):
                     spawn(replacement=True)
                 dispatch()
-            if telemetry is not None:
-                telemetry.tick()
+            telemetry.tick()
             now = time.monotonic()
             timeout = 0.5
             deadlines = [
@@ -904,174 +860,10 @@ def _run_pool(
     finally:
         for worker in list(workers.values()):
             worker.link.stop()
-            if telemetry is not None:
-                telemetry.worker_exited(
-                    worker.wid, "stop", exitcode=worker.link.exitcode
-                )
-        workers.clear()
-
-
-def _run_supervised(
-    pending: Sequence[CampaignRun],
-    jobs: int,
-    policy: RetryPolicy,
-    store: Callable[[CampaignRun, Dict[str, Any], Optional[Dict[str, Any]]], None],
-    quarantine: Callable[[FailedRun], None],
-    telemetry: Optional[CampaignTelemetry] = None,
-    shutdown: Optional[GracefulShutdown] = None,
-) -> None:
-    """Run ``pending`` under crash/hang supervision, ``jobs`` at a time.
-
-    Each unit gets its own forked process and result pipe.  The loop
-    launches ready units into free slots, waits on the pipes with a timeout
-    bounded by the nearest watchdog deadline / backoff expiry, reaps
-    results, terminates over-deadline workers, and requeues failures with
-    exponential backoff until their retry budget runs out.
-
-    ``shutdown.requested`` turns the loop into a drain (see
-    :func:`_run_warm_pool`): no new launches, in-flight attempts are
-    awaited until ``shutdown.abort``, then any still-running worker is
-    terminated and its unit left unrecorded for a resume to re-execute.
-    """
-    ctx = _pool_context()
-    workers = min(jobs, len(pending))
-    # (ready_time, run, attempt) — ready_time is a monotonic timestamp.
-    queue: List[Tuple[float, CampaignRun, int]] = [(0.0, run, 1) for run in pending]
-    active: Dict[Any, _Attempt] = {}
-
-    def launch_ready() -> None:
-        now = time.monotonic()
-        i = 0
-        while i < len(queue) and len(active) < workers:
-            ready, run, attempt = queue[i]
-            if ready > now:
-                i += 1
-                continue
-            queue.pop(i)
-            parent, child = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=_supervised_worker, args=(child, run.index, run.spec)
-            )
-            process.start()
-            child.close()
-            deadline = (
-                now + policy.task_timeout if policy.task_timeout is not None else None
-            )
-            wid = f"p{process.pid}"
-            active[parent] = _Attempt(run, attempt, process, parent, deadline, wid)
-            if telemetry is not None:
-                telemetry.worker_spawned(wid, process.pid)
-                telemetry.batch_dispatched(wid, [run.index])
-
-    def handle_failure(entry: _Attempt, error: str) -> None:
-        if entry.attempt <= policy.max_retries:
-            delay = policy.retry_delay(entry.attempt)
-            if telemetry is not None:
-                telemetry.retry_scheduled(
-                    entry.run.index, entry.attempt, delay, error
-                )
-            queue.append((time.monotonic() + delay, entry.run, entry.attempt + 1))
-        else:
-            quarantine(FailedRun(run=entry.run, error=error, attempts=entry.attempt))
-
-    def unit_span(entry: _Attempt, status: str, *, manifest=None,
-                  error=None) -> None:
-        if telemetry is not None:
-            telemetry.unit_result(
-                entry.wid, entry.run.index, entry.attempt, status,
-                scenario=entry.run.scenario[:12],
-                replication=entry.run.replication,
-                manifest=manifest, error=error,
-            )
-
-    def reap(conn, timed_out: bool) -> None:
-        entry = active.pop(conn)
-        message = None
-        if not timed_out:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                message = None  # died before sending: a hard crash
-        conn.close()
-        if timed_out:
-            _terminate(entry.process)
-            error = f"timed out after {policy.task_timeout:g}s wall clock"
-            unit_span(entry, "timeout", error=error)
-            if telemetry is not None:
-                telemetry.worker_exited(
-                    entry.wid, "timeout", exitcode=entry.process.exitcode
-                )
-            handle_failure(entry, error)
-            return
-        entry.process.join()
-        if message is not None and message[0] == "ok":
-            _, _, metrics, manifest = message
-            unit_span(entry, "ok", manifest=manifest)
-            if telemetry is not None:
-                telemetry.worker_exited(
-                    entry.wid, "stop", exitcode=entry.process.exitcode
-                )
-            store(entry.run, metrics, manifest)
-        elif message is not None:
-            unit_span(entry, "error", error=message[2])
-            if telemetry is not None:
-                telemetry.worker_exited(
-                    entry.wid, "stop", exitcode=entry.process.exitcode
-                )
-            handle_failure(entry, message[2])
-        else:
-            code = entry.process.exitcode
-            error = f"worker crashed (exit code {code})"
-            unit_span(entry, "crash", error=error)
-            if telemetry is not None:
-                telemetry.worker_exited(entry.wid, "crash", exitcode=code)
-            handle_failure(entry, error)
-
-    while queue or active:
-        draining = shutdown is not None and shutdown.requested
-        if draining:
-            if shutdown.abort or not active:
-                break
-        else:
-            launch_ready()
-        now = time.monotonic()
-        if not active:
-            # Every remaining unit is waiting out its backoff.
-            time.sleep(max(0.0, min(ready for ready, _, _ in queue) - now))
-            continue
-        timeout = 0.5
-        deadlines = [e.deadline for e in active.values() if e.deadline is not None]
-        if deadlines:
-            timeout = min(timeout, max(0.0, min(deadlines) - now))
-        # Future ready times only (see the warm-pool loop): a ready-now
-        # backlog just means every slot is busy, and ``launch_ready`` runs
-        # again as soon as a worker's connection signals completion.
-        future_ready = [r for r, _, _ in queue if r > now]
-        if future_ready:
-            timeout = min(timeout, max(0.0, min(future_ready) - now))
-        ready_conns = multiprocessing.connection.wait(list(active), timeout=timeout)
-        for conn in ready_conns:
-            reap(conn, timed_out=False)
-        now = time.monotonic()
-        for conn in [
-            c for c, e in active.items()
-            if e.deadline is not None and now >= e.deadline
-        ]:
-            reap(conn, timed_out=True)
-
-    # Drain abandoned with attempts still in flight: terminate them and
-    # leave their units unrecorded — a resume re-executes exactly those.
-    for conn, entry in list(active.items()):
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        _terminate(entry.process)
-        if telemetry is not None:
             telemetry.worker_exited(
-                entry.wid, "stop", exitcode=entry.process.exitcode
+                worker.wid, "stop", exitcode=worker.link.exitcode
             )
-    active.clear()
+        workers.clear()
 
 
 ProgressFn = Callable[[RunRecord, int, int], None]
@@ -1094,8 +886,8 @@ def run_campaign(
 ) -> CampaignResult:
     """Run every ``(spec, replication)`` in ``grid``; return ordered records.
 
-    ``jobs`` is the worker-process count (default ``os.cpu_count()``; ``1``
-    with no watchdog executes in-process).  ``cache`` enables the on-disk
+    ``jobs`` is the worker count (default ``os.cpu_count()``; ``1`` with no
+    watchdog executes in-process).  ``cache`` enables the on-disk
     memo: hits skip execution entirely — they are resolved before any
     worker is dispatched, so a fully cached campaign never starts a pool.
     ``progress`` is invoked once per finished run — from the coordinating
@@ -1104,27 +896,29 @@ def run_campaign(
     (watchdog timeout, retries, backoff); units that exhaust their retries
     land in ``CampaignResult.failed`` and the campaign still completes.
 
-    ``pool_mode`` selects the execution backend (see the module docstring):
-    ``"warm"`` (persistent warm-worker pool, the default),
-    ``"per-attempt"`` (one forked process per attempt), ``"inproc"``
-    (no forks, no watchdog), or ``"cluster"`` (the warm pool's supervisor
-    loop over a TCP transport; worker agents join over the network and a
-    mid-unit disconnect requeues the unit un-charged).  ``jobs == 1`` with
-    no watchdog short-circuits to in-process execution in every local mode
-    — a single-slot pool buys nothing over running the units directly —
-    but never in ``cluster`` mode, where even one worker lives behind the
-    transport.  ``transport`` lets a caller supply a pre-opened
+    ``pool_mode`` selects the execution backend (see the module docstring);
+    all three run under the same supervisor loop: ``"warm"`` (persistent
+    warm-worker pool, the default), ``"inproc"`` (the coordinating process
+    is the only worker: no forks and no watchdog, so a
+    ``policy.task_timeout`` raises ``ValueError``; failed attempts wait
+    ``policy.retry_delay`` like everywhere else), or ``"cluster"`` (a TCP
+    transport; worker agents join over the network and a mid-unit
+    disconnect requeues the unit un-charged).  ``jobs == 1`` with no
+    watchdog runs ``"warm"`` in-process too — a single-slot pool of forks
+    buys nothing over running the units directly — but ``cluster`` never
+    does, since even one worker lives behind the transport.
+    ``transport`` lets a caller supply a pre-opened
     :class:`~repro.experiments.transport.TcpTransport` (to pin the listen
     address, disable agent self-spawn, or reuse warmed agents across
     campaigns); by default ``cluster`` opens a loopback transport that
     keeps itself at ``jobs`` local agents.  A transport this function
     opened, it also closes.
 
-    ``telemetry`` (a :class:`repro.obs.engine.CampaignTelemetry`) streams
-    spans, coordinator events, worker heartbeats and progress over NDJSON as
-    the campaign runs.  It observes the coordinator only — nothing telemetry
-    does can reach a worker or a result, so metrics and fingerprints are
-    byte-identical with telemetry on or off.
+    ``telemetry`` (a :class:`repro.obs.engine.CampaignTelemetry`; None for
+    off) streams spans, coordinator events, worker heartbeats and progress
+    over NDJSON as the campaign runs.  It observes the coordinator only —
+    nothing telemetry does can reach a worker or a result, so metrics and
+    fingerprints are byte-identical with telemetry on or off.
 
     Crash safety: ``journal`` (a :class:`~repro.experiments.journal.
     CampaignJournal`) write-ahead-records the plan before any dispatch and
@@ -1150,6 +944,13 @@ def run_campaign(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     policy = policy if policy is not None else RetryPolicy()
+    if pool_mode == "inproc" and policy.task_timeout is not None:
+        raise ValueError(
+            "pool_mode 'inproc' has no watchdog: a task_timeout needs a "
+            "worker process to kill (use 'warm')"
+        )
+    if telemetry is None:
+        telemetry = _NoTelemetry()
     if resume is not None:
         if cache is None:
             raise ValueError(
@@ -1186,14 +987,13 @@ def run_campaign(
             transport.cache_spec = cache.describe()
         transport_info = transport.info()
 
-    if telemetry is not None:
-        extra: Dict[str, Any] = {}
-        if transport_info is not None and "endpoint" in transport_info:
-            extra["transport"] = transport_info["endpoint"]
-        telemetry.begin_campaign(
-            len(runs), pool_mode, jobs,
-            base_seed=base_seed, replications=replications, **extra,
-        )
+    extra: Dict[str, Any] = {}
+    if transport_info is not None and "endpoint" in transport_info:
+        extra["transport"] = transport_info["endpoint"]
+    telemetry.begin_campaign(
+        len(runs), pool_mode, jobs,
+        base_seed=base_seed, replications=replications, **extra,
+    )
     if journal is not None:
         journal.begin(
             runs, pool_mode=pool_mode, base_seed=base_seed,
@@ -1205,8 +1005,7 @@ def run_campaign(
         nonlocal done
         records[record.run.index] = record
         done += 1
-        if telemetry is not None:
-            telemetry.progress(done, len(runs), len(failed))
+        telemetry.progress(done, len(runs), len(failed))
         if progress is not None:
             progress(record, done, len(runs))
 
@@ -1216,11 +1015,10 @@ def run_campaign(
         done += 1
         if journal is not None:
             journal.failed(failure.run, failure.error, failure.attempts)
-        if telemetry is not None:
-            telemetry.quarantined(
-                failure.run.index, failure.attempts, failure.error
-            )
-            telemetry.progress(done, len(runs), len(failed))
+        telemetry.quarantined(
+            failure.run.index, failure.attempts, failure.error
+        )
+        telemetry.progress(done, len(runs), len(failed))
 
     pending: List[CampaignRun] = []
     verified = drift = 0
@@ -1234,7 +1032,7 @@ def run_campaign(
         if cache is not None:
             seen_evictions = cache.evictions
             payload = cache.get(run.digest)
-            if telemetry is not None and cache.evictions > seen_evictions:
+            if cache.evictions > seen_evictions:
                 telemetry.cache_evicted(run.index, run.digest)
         if resume is not None and run.index in resume.completed:
             # Re-verify the journaled completion against the cache: the
@@ -1251,26 +1049,25 @@ def run_campaign(
                 drift += 1
                 payload = None
         if payload is not None:
-            if telemetry is not None:
-                telemetry.cache_hit(run.index, run.digest)
-                # Cached units get a span too (consumers see every unit),
-                # but no manifest: its timings/engine facts describe the
-                # original execution, not this campaign.
-                telemetry.unit_result(
-                    "cache", run.index, 0, "ok", cached=True,
-                    scenario=run.scenario[:12], replication=run.replication,
-                )
+            telemetry.cache_hit(run.index, run.digest)
+            # Cached units get a span too (consumers see every unit),
+            # but no manifest: its timings/engine facts describe the
+            # original execution, not this campaign.
+            telemetry.unit_result(
+                "cache", run.index, 0, "ok", cached=True,
+                scenario=run.scenario[:12], replication=run.replication,
+            )
             if journal is not None:
                 journal.done(run, stable_digest(payload["result"]),
                              cached=True)
             finish(RunRecord(run=run, metrics=payload["result"], cached=True,
                              manifest=payload.get("manifest")))
         else:
-            if telemetry is not None and cache is not None:
+            if cache is not None:
                 telemetry.cache_miss(run.index, run.digest)
             pending.append(run)
 
-    if resume is not None and telemetry is not None:
+    if resume is not None:
         telemetry.campaign_resumed(
             str(resume.path), verified=verified, drift=drift,
             remainder=len(pending),
@@ -1293,79 +1090,31 @@ def run_campaign(
         # as an execution (the fingerprint cannot tell), recorded as a
         # cached completion.  The result already lives in the shared
         # store, so no local put.
-        if telemetry is not None:
-            telemetry.cache_hit(run.index, run.digest)
+        telemetry.cache_hit(run.index, run.digest)
         if journal is not None:
             journal.done(run, stable_digest(metrics), cached=True)
         finish(RunRecord(run=run, metrics=metrics, cached=True,
                          manifest=manifest))
 
-    if pending and (
-        pool_mode == "inproc" or (
-            jobs == 1 and policy.task_timeout is None
-            and pool_mode != "cluster"
-        )
-    ):
-        # In-process fast path: no fork, no pipes.  Exceptions are retried
-        # without backoff (an in-process failure is deterministic; sleeping
-        # between identical attempts buys nothing) and then quarantined.
-        if telemetry is not None:
-            telemetry.worker_spawned("main", os.getpid())
-        for run in pending:
-            if shutdown is not None and shutdown.requested:
-                break  # in-flight unit finished; the rest stay unexecuted
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    _, metrics, manifest = _execute_unit((run.index, run.spec))
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    if telemetry is not None:
-                        telemetry.unit_result(
-                            "main", run.index, attempt, "error",
-                            scenario=run.scenario[:12],
-                            replication=run.replication, error=error,
-                        )
-                    if attempt <= policy.max_retries:
-                        if telemetry is not None:
-                            telemetry.retry_scheduled(
-                                run.index, attempt, 0.0, error
-                            )
-                        continue
-                    quarantine(FailedRun(
-                        run=run, error=error, attempts=attempt,
-                    ))
-                    break
-                if telemetry is not None:
-                    telemetry.unit_result(
-                        "main", run.index, attempt, "ok",
-                        scenario=run.scenario[:12],
-                        replication=run.replication, manifest=manifest,
-                    )
-                store(run, metrics, manifest)
-                break
-        if telemetry is not None:
-            telemetry.worker_exited("main", "stop")
-    elif pending and pool_mode == "per-attempt":
-        _run_supervised(pending, jobs, policy, store, quarantine, telemetry,
-                        shutdown)
-    elif pending:
-        pool_transport = (
-            transport if pool_mode == "cluster" else PipeTransport()
-        )
-        try:
-            _run_pool(pool_transport, pending, jobs, policy, store,
-                      quarantine, telemetry, shutdown, store_hit=store_hit)
-        finally:
-            if owns_transport:
-                transport.close()
-                owns_transport = False
-
-    if owns_transport:
-        # Nothing was dispatched (fully cached, or interrupted during
-        # cache resolution) but the transport was opened above: close it.
-        transport.close()
+    try:
+        if pending:
+            if pool_mode == "cluster":
+                pool_transport, workers = transport, jobs
+            elif pool_mode == "inproc" or (
+                jobs == 1 and policy.task_timeout is None
+            ):
+                # A single-slot pool of forks buys nothing over running
+                # the units here when there is no watchdog to enforce.
+                pool_transport, workers = InprocTransport(), 1
+            else:
+                pool_transport, workers = PipeTransport(), jobs
+            _run_pool(pool_transport, pending, workers, policy, store,
+                      store_hit, quarantine, telemetry, shutdown)
+    finally:
+        # Also reached when nothing was dispatched (fully cached, or
+        # interrupted during cache resolution) after the transport opened.
+        if owns_transport:
+            transport.close()
 
     failed.sort(key=lambda f: f.run.index)
     evictions = (cache.evictions - evictions_before) if cache is not None else 0
@@ -1382,20 +1131,19 @@ def run_campaign(
         interrupted=interrupted,
         planned=len(runs),
     )
-    if telemetry is not None:
-        if interrupted:
-            telemetry.campaign_interrupted(
-                shutdown.signal_name or "manual",
-                done=done, total=len(runs),
-            )
-        telemetry.end_campaign(
-            executed=result.executed,
-            cache_hits=result.cache_hits,
-            cache_evictions=evictions,
-            failed=len(failed),
-            interrupted=interrupted,
-            remaining=remaining,
+    if interrupted:
+        telemetry.campaign_interrupted(
+            shutdown.signal_name or "manual",
+            done=done, total=len(runs),
         )
+    telemetry.end_campaign(
+        executed=result.executed,
+        cache_hits=result.cache_hits,
+        cache_evictions=evictions,
+        failed=len(failed),
+        interrupted=interrupted,
+        remaining=remaining,
+    )
     if journal is not None:
         if interrupted:
             status = "interrupted"

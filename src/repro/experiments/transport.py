@@ -1,15 +1,17 @@
 """Pluggable worker transports for the campaign coordinator.
 
-PR 5's warm pool wired the coordinator to its workers with one mechanism:
-``multiprocessing`` duplex pipes to processes forked from the coordinator
-itself.  That caps a campaign at one host's cores.  This module lifts the
-mechanism behind two small interfaces so the same work-stealing pool loop
-(:func:`repro.experiments.campaign._run_pool`) drives either:
+The campaign coordinator reaches its workers through two small
+interfaces, so one work-stealing pool loop
+(:func:`repro.experiments.campaign._run_pool`) owns retry, backoff,
+quarantine, watchdog and drain for every backend.  It drives any of:
 
-* :class:`PipeTransport` / :class:`PipeLink` — the existing local pipe
-  pool, byte-identical in behaviour: workers are forked once (inheriting
-  test monkeypatches and chaos hooks), pull unit batches over their pipe,
-  and stream one result message back per unit;
+* :class:`InprocTransport` / :class:`InprocLink` — the coordinating
+  process as its own single worker: units run inside ``recv()``, with no
+  fork and no watchdog, so breakpoints and monkeypatches apply directly;
+* :class:`PipeTransport` / :class:`PipeLink` — the local warm pool:
+  workers are forked once (inheriting test monkeypatches and chaos
+  hooks), pull unit batches over a duplex pipe, and stream one result
+  message back per unit;
 * :class:`TcpTransport` / :class:`SocketLink` — length-prefixed JSON
   frames over TCP.  Worker *agents* (``repro-muzha worker --connect
   HOST:PORT``) — on other hosts, or extra local processes — dial the
@@ -55,9 +57,10 @@ import struct
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from .cachestore import CLUSTER_REGISTRY_DIRNAME, make_store
 from .config import CACHE_SCHEMA_VERSION
@@ -81,7 +84,7 @@ SOCKET_TIMEOUT = 30.0
 HANDSHAKE_TIMEOUT = 2.0
 
 #: Names of the transports (``Transport.name``).
-TRANSPORTS = ("pipe", "tcp")
+TRANSPORTS = ("inproc", "pipe", "tcp")
 
 
 class TransportError(RuntimeError):
@@ -186,6 +189,49 @@ class WorkerLink:
 
     def describe(self) -> str:
         return f"{type(self).__name__}(host={self.host}, pid={self.pid})"
+
+
+class InprocLink(WorkerLink):
+    """The coordinating process itself, attached as a worker.
+
+    :meth:`send_batch` only queues units; :meth:`recv` executes the head
+    unit through ``campaign._execute_unit`` (looked up per call, so test
+    monkeypatches apply) and turns an ``Exception`` into an ``err``
+    message.  A self-pipe carries one byte per queued unit, so
+    :meth:`fileno` is readable exactly while a unit waits and
+    ``multiprocessing.connection.wait`` drives this link like a pipe
+    worker.
+    """
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self.pid_is_local = True
+        self._units: Deque[Tuple[int, Any]] = deque()
+        self._ready, self._wake = os.pipe()
+
+    def fileno(self) -> int:
+        return self._ready
+
+    def send_batch(self, units: Sequence[Tuple[int, Any, str]]) -> None:
+        self._units.extend((index, spec) for index, spec, _ in units)
+        os.write(self._wake, b"u" * len(units))
+
+    def recv(self) -> Tuple[Any, ...]:
+        from . import campaign
+
+        os.read(self._ready, 1)
+        index, spec = self._units.popleft()
+        try:
+            _, metrics, manifest = campaign._execute_unit((index, spec))
+        except Exception as exc:
+            return ("err", index, f"{type(exc).__name__}: {exc}")
+        return ("ok", index, metrics, manifest)
+
+    def stop(self) -> None:
+        os.close(self._ready)
+        os.close(self._wake)
+
+    reap = kill = stop
 
 
 # eq=False keeps identity hashing: the pool loop uses links as dict keys
@@ -366,8 +412,22 @@ class Transport:
         return {"kind": self.name}
 
 
+class InprocTransport(Transport):
+    """One :class:`InprocLink`: the campaign runs in this process.
+
+    ``prefetch = 1`` keeps a drain tight: after SIGTERM only the unit
+    already handed out runs, and the rest stay undispatched.
+    """
+
+    name = "inproc"
+    can_spawn = True
+
+    def spawn(self) -> Optional[WorkerLink]:
+        return InprocLink()
+
+
 class PipeTransport(Transport):
-    """The PR 5 local pool: fork workers, speak over duplex pipes.
+    """The local warm pool: fork workers, speak over duplex pipes.
 
     Forking from the coordinator is a feature, not an implementation
     detail: workers inherit monkeypatches (the robustness tests patch
@@ -581,6 +641,9 @@ class TcpTransport(Transport):
     def _handshake(self, sock: socket.socket) -> Optional[WorkerLink]:
         sock.settimeout(HANDSHAKE_TIMEOUT)
         try:
+            # Frames are small request/response pairs: Nagle would hold
+            # each one back waiting for the peer's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             hello = recv_frame(sock)
             if hello.get("kind") != "hello":
                 raise TransportError(
@@ -644,12 +707,15 @@ def _connect_with_retry(endpoint: str, retry: float) -> socket.socket:
     delay = 0.05
     while True:
         try:
-            return socket.create_connection((host, port), timeout=5.0)
+            sock = socket.create_connection((host, port), timeout=5.0)
         except OSError:
             if time.monotonic() >= deadline:
                 raise
             time.sleep(delay)
             delay = min(1.0, delay * 2)
+        else:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            return sock
 
 
 def run_worker_agent(
@@ -745,6 +811,8 @@ def run_worker_agent(
 __all__ = [
     "CLUSTER_REGISTRY_DIRNAME",
     "HANDSHAKE_TIMEOUT",
+    "InprocLink",
+    "InprocTransport",
     "MAX_FRAME_BYTES",
     "PipeLink",
     "PipeTransport",

@@ -82,7 +82,7 @@ def test_two_processes_sharing_a_cache_agree_and_corrupt_nothing(tmp_path):
         sys.executable, "-m", "repro.cli", "campaign",
         "--variants", "newreno", "muzha", "--hops", "2",
         "--replications", "2", "--time", "0.5", "--window", "4",
-        "--seed", "7", "--jobs", "2", "--pool-mode", "per-attempt",
+        "--seed", "7", "--jobs", "2", "--pool-mode", "warm",
         "--cache-dir", str(root), "--quiet",
     ]
     procs = [subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,

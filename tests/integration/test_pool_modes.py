@@ -1,8 +1,8 @@
 """Execution-backend equivalence for the campaign engine.
 
-The warm-worker pool (PR 5) must be a pure performance change: for the
-same grid and base seed, the ``warm``, ``per-attempt``, and ``inproc``
-backends have to produce byte-identical results — same canonical metric
+The warm-worker pool must be a pure performance change: for the same
+grid and base seed, the ``warm`` and ``inproc`` backends have to produce
+byte-identical results — same canonical metric
 bytes per (scenario, replication), same campaign fingerprint — because
 every unit's seed is derived in ``plan_campaign`` before dispatch, making
 worker assignment, batching, and completion order invisible.
@@ -23,9 +23,6 @@ from repro.experiments import (
     verify_manifest,
 )
 from repro.faults import FaultEvent, FaultPlan
-
-POOL_MODES = ("inproc", "per-attempt", "warm")
-
 
 def clean_grid():
     config = ScenarioConfig(sim_time=1.0, window=4)
@@ -57,7 +54,7 @@ def inproc_faulted():
     return run_campaign(faulted_grid(), replications=2, jobs=1, pool_mode="inproc")
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+@pytest.mark.parametrize("pool_mode", ["warm"])
 def test_pool_modes_are_byte_identical_on_a_clean_grid(inproc_clean, pool_mode):
     pooled = run_campaign(
         clean_grid(), replications=2, jobs=2, pool_mode=pool_mode
@@ -67,7 +64,7 @@ def test_pool_modes_are_byte_identical_on_a_clean_grid(inproc_clean, pool_mode):
     assert pooled.fingerprint() == inproc_clean.fingerprint()
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+@pytest.mark.parametrize("pool_mode", ["warm"])
 def test_pool_modes_are_byte_identical_under_a_fault_plan(
     inproc_faulted, pool_mode
 ):

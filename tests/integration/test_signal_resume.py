@@ -4,8 +4,9 @@ A mid-flight ``repro-muzha campaign`` receiving SIGTERM must drain, leave
 no orphan worker processes behind, write a valid resumable journal, exit
 with the distinct "interrupted, resumable" status (3) — and a subsequent
 ``--resume`` must execute exactly the remainder and land on a fingerprint
-byte-identical to an uninterrupted run.  Exercised against all three pool
-backends.
+byte-identical to an uninterrupted run.  Exercised against the warm and
+inproc backends (the cluster backend has its own case in
+``test_cluster.py``).
 
 Timing is made deterministic with the :data:`BARRIER_ENV` hook: the
 worker executing the chosen unit touches ``<base>.ready`` and blocks
@@ -44,7 +45,7 @@ BASE_ARGS = [
 #: so the barrier sits on unit 1 and unit 0 is already journaled by the
 #: time ``.ready`` appears; the pooled backends block unit 0 on one worker
 #: while the other worker makes progress.
-BACKENDS = [("warm", 2, 0), ("per-attempt", 2, 0), ("inproc", 1, 1)]
+BACKENDS = [("warm", 2, 0), ("inproc", 1, 1)]
 
 
 def campaign_env(**extra):

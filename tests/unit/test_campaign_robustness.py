@@ -103,7 +103,7 @@ def _fail_once_then_delegate(sentinel, index, failure):
     return patched
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+@pytest.mark.parametrize("pool_mode", ["warm"])
 def test_crashed_worker_is_retried_and_campaign_completes(
     tmp_path, monkeypatch, pool_mode
 ):
@@ -168,7 +168,7 @@ def test_persistent_crash_is_quarantined_not_fatal(tmp_path, monkeypatch):
     assert [r.run.index for r in result.records] == [1]
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+@pytest.mark.parametrize("pool_mode", ["warm"])
 def test_hung_worker_hits_the_watchdog_then_retry_succeeds(
     tmp_path, monkeypatch, pool_mode
 ):
@@ -183,6 +183,14 @@ def test_hung_worker_hits_the_watchdog_then_retry_succeeds(
     )
     assert sentinel.exists()
     assert result.complete
+
+
+def test_inproc_rejects_a_task_timeout():
+    """In-process execution has no worker to kill, so a watchdog request
+    is refused instead of being silently dropped."""
+    with pytest.raises(ValueError, match="no watchdog"):
+        run_campaign(tiny_grid(), pool_mode="inproc",
+                     policy=RetryPolicy(task_timeout=5.0))
 
 
 def test_permanent_hang_is_quarantined_with_a_timeout_error(monkeypatch):
@@ -225,7 +233,7 @@ def test_worker_exception_message_survives_the_pipe(monkeypatch):
     assert "ValueError: broke in the child" in result.failed[0].error
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt"])
+@pytest.mark.parametrize("pool_mode", ["warm", "cluster"])
 def test_crash_once_env_hook(tmp_path, monkeypatch, pool_mode):
     sentinel = tmp_path / "env-crash"
     monkeypatch.setenv(campaign.CRASH_ONCE_ENV, f"{sentinel}:0")
@@ -241,7 +249,7 @@ def test_crash_once_env_hook(tmp_path, monkeypatch, pool_mode):
 # Cache hits must short-circuit before worker dispatch
 
 
-@pytest.mark.parametrize("pool_mode", ["warm", "per-attempt", "inproc"])
+@pytest.mark.parametrize("pool_mode", ["warm", "inproc"])
 def test_fully_cached_campaign_never_dispatches_a_worker(
     tmp_path, monkeypatch, pool_mode
 ):

@@ -238,6 +238,16 @@ def test_cluster_transport_flags_require_cluster_pool_mode(tmp_path):
         ])
 
 
+def test_task_timeout_requires_a_killable_worker(tmp_path):
+    with pytest.raises(SystemExit, match="--task-timeout .* not inproc"):
+        main([
+            "campaign", "--variants", "newreno", "--hops", "2",
+            "--replications", "1", "--time", "0.1",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--pool-mode", "inproc", "--task-timeout", "5",
+        ])
+
+
 def test_worker_command_rejects_bad_endpoint():
     with pytest.raises(SystemExit, match="HOST:PORT"):
         main(["worker", "--connect", "no-port-here"])

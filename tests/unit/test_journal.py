@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.experiments import (
+    CampaignCache,
     CampaignJournal,
     JournalError,
     JournalPlanMismatch,
@@ -17,6 +18,8 @@ from repro.experiments import (
     plan_digest,
     read_journal,
     replay_journal,
+    run_campaign,
+    stable_digest,
 )
 from repro.obs.validate import validate_journal_file
 
@@ -100,6 +103,43 @@ def test_journal_with_no_end_record_reads_as_interrupted(tmp_path):
     assert replay.interrupted
     assert replay.last_end is None
     assert replay.completed == {0: "digest-0"}
+
+
+def test_journal_from_a_retired_pool_mode_validates_and_resumes_on_warm(
+    tmp_path
+):
+    """Journals on disk may name the removed ``per-attempt`` backend: they
+    stay schema-valid, and resuming one on ``warm`` executes only the
+    remainder and lands on the uninterrupted fingerprint."""
+    config = ScenarioConfig(sim_time=0.5, window=4)
+    grid = chain_grid(["newreno"], [2, 3], config=config)
+    reference = run_campaign(grid, replications=2, base_seed=7, jobs=1)
+    runs = [record.run for record in reference.records]
+
+    # What an interrupted per-attempt campaign left behind: two units
+    # cached and journaled done, two never run.
+    cache = CampaignCache(tmp_path / "cache")
+    path = tmp_path / "run.journal"
+    with CampaignJournal(path) as journal:
+        journal.begin(runs, pool_mode="per-attempt", base_seed=7,
+                      replications=2, resumed=False)
+        for record in reference.records[:2]:
+            cache.put(record.run.digest, {"result": record.metrics,
+                                          "manifest": record.manifest})
+            journal.done(record.run, stable_digest(record.metrics),
+                         cached=False)
+        journal.end(status="interrupted", fingerprint=None, executed=2,
+                    cache_hits=0, quarantined=0, remaining=2)
+    assert validate_journal_file(path) == []
+
+    with CampaignJournal(path, resume=True) as journal:
+        resumed = run_campaign(grid, replications=2, base_seed=7, jobs=2,
+                               pool_mode="warm", cache=cache,
+                               journal=journal, resume=replay_journal(path))
+    assert resumed.complete
+    assert (resumed.executed, resumed.cache_hits) == (2, 2)
+    assert resumed.fingerprint() == reference.fingerprint()
+    assert validate_journal_file(path) == []
 
 
 # ---------------------------------------------------------------------------

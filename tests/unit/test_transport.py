@@ -19,6 +19,7 @@ from repro.experiments.transport import (
     WIRE_VERSION,
     TcpTransport,
     TransportError,
+    _connect_with_retry,
     parse_endpoint,
     recv_frame,
     send_frame,
@@ -181,6 +182,20 @@ def test_handshake_rejects_mismatched_builds(listening_transport, bad, expect):
         assert expect in reply["reason"]
     finally:
         sock.close()
+
+
+def test_both_ends_of_an_agent_link_disable_nagle(listening_transport):
+    """Unit batches and results are small frames: Nagle must not hold
+    them back on either end of the connection."""
+    agent = _connect_with_retry(listening_transport.endpoint, retry=5.0)
+    try:
+        send_frame(agent, hello())
+        (link,) = listening_transport.accept()
+        for sock in (agent, link.sock):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        link.stop()
+    finally:
+        agent.close()
 
 
 def test_handshake_drops_silent_probes(listening_transport):
