@@ -1,7 +1,7 @@
 """Microbenchmarks of the simulation substrate itself.
 
 Not a paper figure — these track the cost of the hot paths so substrate
-regressions are visible next to the figure campaigns.  Four metrics:
+regressions are visible next to the figure campaigns.  The metrics:
 
 * ``scheduler_events_per_sec`` — schedule-and-run cost of plain timer events;
 * ``scheduler_churn_ops_per_sec`` — the MAC backoff pattern
@@ -15,7 +15,14 @@ regressions are visible next to the figure campaigns.  Four metrics:
   lane; their ratio is the vectorization speedup the ``--check`` lane gate
   enforces (batch >= --lane-ratio x scalar);
 * ``full_chain_packets_per_sec`` — end-to-end packets/sec of the standard
-  4-hop, 10 s Muzha run.
+  4-hop, 10 s Muzha run;
+* ``mac_medium_edges_per_sec`` — carrier busy/idle edges into a contending
+  ``DcfMac`` (countdown pause and restart per edge pair);
+* ``fanout_run_items_per_sec`` — firing one width-20 frame's 41 scheduler
+  items (one run on the batch lane), neighbour callbacks included.
+
+The last two are report-only: they have no committed baseline entry, so
+``--check`` gates nothing on them.
 
 Two entry points:
 
@@ -111,25 +118,14 @@ def run_channel_fanout(n_tx: int = 2_000) -> int:
     return n_tx
 
 
-def run_phy_fanout_lane(lane: str, n_tx: int = 1_500, chunk: int = 50):
-    """Transmit-side fan-out cost on a dense cluster, for one execution lane.
+def _dense_cluster(lane: str):
+    """48 radios at 10 m spacing on one execution lane, fan-out caches warm.
 
-    48 radios at 10 m spacing put every radio inside every other's
-    carrier-sense range (fan-out width 47, well past the batch lane's numpy
-    threshold — comparable to the dense cross-topology centre) with a live
-    ``UniformBitError`` medium, so the departure trampoline is armed exactly
-    as in lossy experiment runs.  Only the ``transmit()`` calls are timed —
-    the ~2/3 of wall time spent *executing* the fanned-out events is
-    identical machinery for both lanes and would dilute the lane comparison
-    to uselessness.
-
-    Noise control: the lane *ratio* gates CI, and both lanes do fixed
-    identical-shape work per transmit, so the honest clean-machine estimate
-    is the **fastest chunk** of ``chunk`` transmits rather than the run
-    mean — an accumulated mean lets one scheduler preemption land in a
-    single lane's timed sections and swing the ratio by 1.5x on shared
-    runners (observed), while min-of-chunks is stable to ~2%.  Returns
-    ``(chunk, best_chunk_seconds)``.
+    Every radio sits inside every other's carrier-sense range (fan-out
+    width 47, well past the batch lane's numpy threshold — comparable to
+    the dense cross-topology centre) with a live ``UniformBitError``
+    medium, so the departure trampoline is armed exactly as in lossy
+    experiment runs.  Returns ``(sim, transmit_one)``.
     """
     from repro.phy import Position, UniformBitError, WirelessChannel
     from repro.phy.radio import Radio
@@ -149,22 +145,127 @@ def run_phy_fanout_lane(lane: str, n_tx: int = 1_500, chunk: int = 50):
     frame = Frame()
     src = radios[24]
     transmit = channel.transmit
-    perf_counter = time.perf_counter
+
+    def transmit_one():
+        transmit(src, frame, 1e-4)
+
     # Warm the fan-out caches outside the timed sections.
-    transmit(src, frame, 1e-4)
+    transmit_one()
     sim.run(until=sim.now + 1e-3)
-    best = float("inf")
+    return sim, transmit_one
+
+
+def run_phy_fanout_lanes(lanes=("scalar", "batch"), n_tx: int = 1_500,
+                         chunk: int = 50) -> Dict[str, tuple]:
+    """Transmit-side fan-out cost on a dense cluster, per execution lane.
+
+    Only the ``transmit()`` calls are timed — the ~2/3 of wall time spent
+    *executing* the fanned-out events would dilute the lane comparison to
+    uselessness.
+
+    Noise control: the lane *ratio* gates CI, and both lanes do fixed
+    identical-shape work per transmit, so the honest clean-machine estimate
+    is each lane's **fastest chunk** of ``chunk`` transmits rather than the
+    run mean.  The lanes' timed chunks are interleaved in one loop (the
+    lane that goes first alternates per round), so both lanes sample the
+    same machine states; timing one lane after the other let a slow spell
+    on a shared 2-vCPU runner land in one lane only and drop the ratio
+    below the gate on unchanged code.  Returns ``{lane: (chunk,
+    best_chunk_seconds)}``.
+    """
+    perf_counter = time.perf_counter
+    clusters = {lane: _dense_cluster(lane) for lane in lanes}
+    best = dict.fromkeys(lanes, float("inf"))
+    order = list(lanes)
     done = 0
     while done < n_tx:
-        total = 0.0
-        for _ in range(chunk):
-            t0 = perf_counter()
-            transmit(src, frame, 1e-4)
-            total += perf_counter() - t0
-            sim.run(until=sim.now + 1e-3)  # drain, untimed
+        for lane in order:
+            sim, transmit_one = clusters[lane]
+            total = 0.0
+            for _ in range(chunk):
+                t0 = perf_counter()
+                transmit_one()
+                total += perf_counter() - t0
+                sim.run(until=sim.now + 1e-3)  # drain, untimed
+            best[lane] = min(best[lane], total)
+        order.reverse()
         done += chunk
-        best = min(best, total)
-    return chunk, best
+    return {lane: (chunk, best[lane]) for lane in lanes}
+
+
+def run_mac_medium_edges(n: int = 20_000):
+    """Busy/idle carrier edge pairs into a ``DcfMac`` contending for the air.
+
+    The MAC holds a packet in CONTEND with its backoff countdown armed, so
+    every busy edge pauses the countdown (cancelling the access event) and
+    every idle edge restarts it (scheduling a new one) — the per-frame
+    medium-state work each neighbour's MAC does.  The simulator never runs:
+    the cancelled access events stay queued and are dropped with the
+    simulator.  Returns ``(edges, seconds)``.
+    """
+    from repro.mac import DcfMac, DcfState, QueuedPacket
+    from repro.net.queues import DropTailQueue
+    from repro.phy import Position, WirelessChannel
+    from repro.phy.radio import Radio
+    from repro.sim import Simulator
+
+    sim = Simulator(seed=1)
+    channel = WirelessChannel(sim)
+    radio = Radio(sim, 0)
+    channel.register(radio, Position(0.0, 0.0))
+    mac = DcfMac(sim, channel, radio, 0)
+    queue = DropTailQueue(4)
+    mac.queue = queue
+    queue.on_wakeup = mac.wakeup
+    queue.enqueue(QueuedPacket(object(), next_hop=1, size_bytes=1000))
+    assert mac.state is DcfState.CONTEND
+    busy = mac.phy_channel_busy
+    idle = mac.phy_channel_idle
+    t0 = time.perf_counter()
+    for _ in range(n):
+        busy()
+        idle()
+    dt = time.perf_counter() - t0
+    assert mac.state is DcfState.CONTEND
+    return 2 * n, dt
+
+
+def run_fanout_run_firing(n_frames: int = 2_000):
+    """Execute one width-20 frame's 2k+1 = 41 scheduler items, n times.
+
+    A source with 20 carrier-sense neighbours on the batch lane: each frame
+    becomes one scheduler run, and only ``run()`` — firing its 41 items in
+    place, neighbour radios' signal callbacks included — is timed.  Falls
+    back to the scalar lane (41 heap entries) without numpy.  Returns
+    ``(items, seconds)``.
+    """
+    from repro.phy import HAVE_NUMPY, Position, WirelessChannel
+    from repro.phy.radio import Radio
+    from repro.sim import Simulator
+
+    sim = Simulator(seed=1)
+    channel = WirelessChannel(sim, phy_lane="batch" if HAVE_NUMPY else "scalar")
+    radios = [Radio(sim, i) for i in range(21)]
+    for i, radio in enumerate(radios):
+        channel.register(radio, Position(10.0 * i, 0.0))
+
+    class Frame:
+        size_bytes = 1000
+
+    frame = Frame()
+    src = radios[10]
+    transmit = channel.transmit
+    run = sim.run
+    perf_counter = time.perf_counter
+    items = 2 * (len(radios) - 1) + 1
+    total = 0.0
+    for _ in range(n_frames):
+        transmit(src, frame, 1e-4)
+        assert sim.pending_events == items
+        t0 = perf_counter()
+        run(until=sim.now + 1e-3)
+        total += perf_counter() - t0
+    return items * n_frames, total
 
 
 def lane_identity_digests() -> Dict[str, str]:
@@ -269,14 +370,17 @@ def measure_all(fast: bool = False) -> Dict[str, float]:
             "channel_fanout_tx_per_sec": _rate(run_channel_fanout, max(2, reps - 2)),
             "full_chain_packets_per_sec": _rate(run_full_chain, 1 if fast else 2),
         }
-        # The two lane benches run back-to-back (not split across the suite):
-        # their *ratio* is a CI gate, and adjacency keeps slow container
-        # drift out of it.
-        metrics["phy_fanout_scalar_tx_per_sec"] = _rate_self_timed(
-            lambda: run_phy_fanout_lane("scalar"), lane_reps)
-        if HAVE_NUMPY:
-            metrics["phy_fanout_batch_tx_per_sec"] = _rate_self_timed(
-                lambda: run_phy_fanout_lane("batch"), lane_reps)
+        metrics["mac_medium_edges_per_sec"] = _rate_self_timed(
+            run_mac_medium_edges, reps)
+        metrics["fanout_run_items_per_sec"] = _rate_self_timed(
+            run_fanout_run_firing, reps)
+        # The two lane benches are measured in one interleaved loop: their
+        # *ratio* is a CI gate (see run_phy_fanout_lanes).
+        lanes = ("scalar", "batch") if HAVE_NUMPY else ("scalar",)
+        for _ in range(lane_reps):
+            for lane, (ops, dt) in run_phy_fanout_lanes(lanes).items():
+                name = f"phy_fanout_{lane}_tx_per_sec"
+                metrics[name] = max(metrics.get(name, 0.0), ops / dt)
         return metrics
     finally:
         gc.unfreeze()
@@ -320,9 +424,10 @@ def test_mac_exchange_rate(benchmark):
 def test_phy_fanout_scalar_lane(benchmark):
     """Transmit-side fan-out cost, scalar reference lane."""
     ops, _ = benchmark.pedantic(
-        lambda: run_phy_fanout_lane("scalar", n_tx=500), rounds=2, iterations=1
+        lambda: run_phy_fanout_lanes(("scalar",), n_tx=500)["scalar"],
+        rounds=2, iterations=1,
     )
-    assert ops == 500
+    assert ops == 50  # the rate is measured over the fastest 50-transmit chunk
 
 
 def test_phy_fanout_batch_lane(benchmark):
@@ -332,9 +437,22 @@ def test_phy_fanout_batch_lane(benchmark):
     if not HAVE_NUMPY:
         pytest.skip("batch lane requires numpy")
     ops, _ = benchmark.pedantic(
-        lambda: run_phy_fanout_lane("batch", n_tx=500), rounds=2, iterations=1
+        lambda: run_phy_fanout_lanes(("batch",), n_tx=500)["batch"],
+        rounds=2, iterations=1,
     )
-    assert ops == 500
+    assert ops == 50  # the rate is measured over the fastest 50-transmit chunk
+
+
+def test_mac_medium_edges(benchmark):
+    """Carrier busy/idle edge pairs into a contending DcfMac."""
+    edges, _ = benchmark.pedantic(run_mac_medium_edges, rounds=3, iterations=1)
+    assert edges == 40_000
+
+
+def test_fanout_run_firing(benchmark):
+    """Firing width-20 frames' 41 scheduler items."""
+    items, _ = benchmark.pedantic(run_fanout_run_firing, rounds=3, iterations=1)
+    assert items == 41 * 2_000
 
 
 def test_full_stack_chain_run(benchmark):

@@ -214,13 +214,31 @@ class DcfMac:
 
     # -- PHY listener interface -----------------------------------------------------
 
+    # The two carrier edges are handled directly rather than through
+    # _reevaluate_medium: an idle->busy carrier edge makes the medium busy
+    # whatever NAV and a pending response say, and on a busy->idle edge the
+    # carrier is known idle, so only NAV and the SIFS response can still
+    # hold the medium.  The medium cannot have been idle while the carrier
+    # was busy, so the idle edge never has to pause a countdown.
+
     def phy_channel_busy(self) -> None:
         self.meter.on_busy(self.sim.now)
-        self._reevaluate_medium()
+        if self._medium_idle_since is not None:
+            self._medium_idle_since = None
+            if self._access_event is not None:
+                self._pause_countdown()
 
     def phy_channel_idle(self) -> None:
-        self.meter.on_idle(self.sim.now)
-        self._reevaluate_medium()
+        now = self.sim.now
+        self.meter.on_idle(now)
+        if (
+            self._medium_idle_since is None
+            and self._pending_response is None
+            and not self.nav.busy(now)
+        ):
+            self._medium_idle_since = now
+            if self._state is DcfState.CONTEND:
+                self._maybe_start_countdown()
 
     def phy_rx_error(self) -> None:
         # A frame we might have decoded was lost: defer by EIFS next time,

@@ -35,6 +35,7 @@ bulk-scheduled batch per frame, still bit-identical.
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 try:  # gated import: the scalar lane must work on a numpy-less interpreter
@@ -110,23 +111,45 @@ class BatchFanout:
 
     __slots__ = (
         "neighbors", "delays", "width", "use_numpy",
-        "numpy_calls", "loop_calls",
-        "_d", "_starts", "_ends", "_sums", "_departs",
+        "numpy_calls", "loop_calls", "clean_callbacks", "lossy_callbacks",
+        "presort",
+        "_d", "_times", "_starts", "_departs", "_ends", "_sums",
     )
 
-    def __init__(self, entries: Sequence[_FanoutEntry]) -> None:
+    def __init__(
+        self,
+        entries: Sequence[_FanoutEntry],
+        tx_end: Callable[[], None],
+        depart: Callable[..., None],
+    ) -> None:
         self.neighbors: List[Tuple[Callable, Callable, bool, float]] = [
             (sig_start, sig_end, receivable, power)
             for sig_start, sig_end, receivable, _delay, power in entries
         ]
         self.delays: List[float] = [entry[3] for entry in entries]
-        # The batch lane inserts its events without per-item clock checks
-        # (EventScheduler.bulk_heap_insert); that is sound only because every
-        # fan-out timestamp is ``now`` plus non-negative terms.  Validate the
-        # delay half of that guarantee once, here.
-        if any(delay < 0 for delay in self.delays):
-            raise ValueError("fan-out propagation delays must be >= 0")
         self.width = width = len(entries)
+        #: The frame's callback column in scheduling order — the source's
+        #: ``tx_end`` then ``signal_start``/end-of-signal per neighbour —
+        #: for a perfect medium (every end goes straight to ``signal_end``)
+        #: and a lossy one (decodable ends go through the ``depart``
+        #: trampoline that consults the error model).  Static per source,
+        #: so the per-frame path only builds the argument column.
+        self.clean_callbacks: List[Callable] = [tx_end]
+        self.lossy_callbacks: List[Callable] = [tx_end]
+        for sig_start, sig_end, receivable, _power in self.neighbors:
+            self.clean_callbacks += (sig_start, sig_end)
+            self.lossy_callbacks += (sig_start, depart if receivable else sig_end)
+        #: Sort hint for the frame's scheduler run (see
+        #: ``EventScheduler.schedule_batch``): the frame's items in column
+        #: order are ``tx_end, start_0, end_0, start_1, ...``; by time they
+        #: usually run arrivals by delay, tx_end, departures by delay.  This
+        #: getter arranges them in the reverse of that order.
+        self.presort: Optional[Callable[[list], tuple]] = None
+        if width:
+            by_delay = sorted(range(width), key=self.delays.__getitem__)
+            arrival = [1 + 2 * i for i in by_delay] + [0]
+            arrival += [2 + 2 * i for i in by_delay]
+            self.presort = itemgetter(*reversed(arrival))
         self.use_numpy = HAVE_NUMPY and width >= NUMPY_MIN_FANOUT
         #: Kernel-selection counters (frames computed per sub-lane); one
         #: int add per frame, harvested post-run by
@@ -135,46 +158,52 @@ class BatchFanout:
         self.loop_calls = 0
         if self.use_numpy:
             self._d = _np.array(self.delays, dtype=_np.float64)
-            self._starts = _np.empty(width, dtype=_np.float64)
+            # The time column, with strided views of its arrival and
+            # departure slots, so the kernel writes it already interleaved.
+            self._times = _np.empty(2 * width + 1, dtype=_np.float64)
+            self._starts = self._times[1::2]
+            self._departs = self._times[2::2]
             self._ends = _np.empty(width, dtype=_np.float64)
             self._sums = _np.empty(width, dtype=_np.float64)
-            self._departs = _np.empty(width, dtype=_np.float64)
 
     def timestamps(
         self, now: float, duration: float
-    ) -> Tuple[List[float], List[float], List[float]]:
-        """All of one frame's fan-out timestamps, grouped like the scalar path.
+    ) -> Tuple[List[float], List[float]]:
+        """All of one frame's timestamps, grouped like the scalar path.
 
-        Returns ``(starts, ends, departs)`` where, per neighbour ``i`` with
-        propagation delay ``d_i``::
+        Returns ``(times, ends)``.  ``times`` is the frame's time column in
+        scheduling order (the layout of the callback columns): the tx-end,
+        then per neighbour ``i`` with propagation delay ``d_i`` its arrival
+        and its departure; ``ends`` holds each neighbour's
+        ``Signal.end_time``::
 
-            starts[i]  = now + d_i                  # arrival
-            ends[i]    = (now + d_i) + duration     # Signal.end_time
-            departs[i] = now + (d_i + duration)     # signal_end event
+            times[0]       = now + duration          # tx end
+            times[1 + 2i]  = now + d_i               # arrival
+            times[2 + 2i]  = now + (d_i + duration)  # signal_end event
+            ends[i]        = (now + d_i) + duration  # Signal.end_time
 
-        The two right-hand columns intentionally group differently (float
-        addition is not associative); both lanes preserve each grouping so
-        the 1-ULP event-order contract holds bit-for-bit.
+        The last two intentionally group differently (float addition is not
+        associative); both lanes preserve each grouping so the 1-ULP
+        event-order contract holds bit-for-bit.
         """
         if self.use_numpy:
             self.numpy_calls += 1
             d = self._d
             starts = self._starts
+            self._times[0] = now + duration
             _np.add(d, now, out=starts)
             _np.add(starts, duration, out=self._ends)
             _np.add(d, duration, out=self._sums)
             _np.add(self._sums, now, out=self._departs)
-            return starts.tolist(), self._ends.tolist(), self._departs.tolist()
+            return self._times.tolist(), self._ends.tolist()
         self.loop_calls += 1
-        starts = []
+        times = [now + duration]
         ends = []
-        departs = []
-        append_start = starts.append
+        append_time = times.append
         append_end = ends.append
-        append_depart = departs.append
         for delay in self.delays:
             t_start = now + delay
-            append_start(t_start)
+            append_time(t_start)
+            append_time(now + (delay + duration))
             append_end(t_start + duration)
-            append_depart(now + (delay + duration))
-        return starts, ends, departs
+        return times, ends

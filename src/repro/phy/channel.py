@@ -26,8 +26,10 @@ chosen at construction (``phy_lane``) via :func:`repro.phy.batch.resolve_lane`:
   per neighbour (always available, the fallback when numpy is missing);
 * ``batch`` — the vectorized lane: all fan-out timestamps computed in one
   shot through :class:`repro.phy.batch.BatchFanout` (numpy float64 for wide
-  fan-outs, a plain loop below the amortization threshold) and all 2k
-  events inserted with one :meth:`EventScheduler.schedule_batch` call.
+  fan-outs, a plain loop below the amortization threshold) and all 2k+1
+  events handed to one :meth:`EventScheduler.schedule_batch` call, which
+  sorts them into a single scheduler *run*: one heap entry per frame, its
+  items fired in place while each is the earliest pending event.
 
 Both lanes are **byte-identical** in behaviour: same timestamps (same float
 grouping), same sequence-number assignment order, same RNG draw sequence —
@@ -40,7 +42,6 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..sim import units
-from ..sim.scheduler import SchedulerError
 from ..sim.simulator import Simulator
 from .batch import BatchFanout, resolve_lane
 from .error_models import ErrorModel, NoError
@@ -222,7 +223,7 @@ class WirelessChannel:
         """
         if self._batch_fanout is None:
             self._batch_fanout = {
-                src: BatchFanout(entries)
+                src: BatchFanout(entries, src.end_transmit, self._depart)
                 for src, entries in self._fanout_map().items()
             }
         return self._batch_fanout
@@ -285,64 +286,55 @@ class WirelessChannel:
                 )
 
     def _transmit_batch(self, src: Radio, frame: object, duration: float) -> None:
-        """Batch-lane :meth:`transmit`: same events, one bulk insertion.
+        """Batch-lane :meth:`transmit`: same events, one scheduler run.
 
         Mirrors the scalar path observable-for-observable — same counters,
         same trace emit, same scheduling *order* (tx_end first, then per
         neighbour arrival/departure pairs in fan-out order) so sequence
         numbers come out identical.  The timestamps arrive precomputed from
-        the fan-out kernel with the scalar float grouping, and the 2k+1
-        events skip :class:`Event` construction entirely: the loop builds
-        the scheduler's fire-and-forget heap tuples directly (seqs claimed
-        up front with ``reserve_seqs``) and hands them to one
-        ``bulk_heap_insert`` call — none of these events is ever cancelled,
-        the scalar path discards their handles too.
+        the fan-out kernel with the scalar float grouping and the callback
+        column is static per source, so the per-frame work is one
+        :class:`Signal` and two argument tuples per neighbour, then one
+        :meth:`EventScheduler.schedule_batch` call: the 2k+1 items become a
+        single sorted run that fires mostly without touching the heap.  None
+        of these events is ever cancelled; the scalar path discards their
+        handles too.
         """
         self.transmissions += 1
         src.begin_transmit(duration)
         fan = self._batch_map()[src]
-        sched = self.sim.scheduler
-        now = sched.now
-        if duration < 0:
-            # Same failure the scalar lane's first schedule() call raises;
-            # checked here because bulk_heap_insert trusts its times.
-            raise SchedulerError(
-                f"cannot schedule event at {now + duration:.9f}, "
-                f"now is {now:.9f}"
-            )
-        # Two seq reservations, not one: the scalar path assigns tx_end's
-        # seq before the trace emit and the neighbour seqs after it, so even
-        # a trace sink that schedules during the emit sees identical seq
-        # interleaving on both lanes.
-        items = [
-            (now + duration, 0, sched.reserve_seqs(1), (src.end_transmit, ()))
-        ]
-        if self.sim.trace.wants("phy.tx"):
-            self.sim.emit(
+        sim = self.sim
+        now = sim.now
+        times, ends = fan.timestamps(now, duration)
+        args: list = [()]
+        append = args.append
+        if type(self.error_model) is NoError:
+            callbacks = fan.clean_callbacks
+            for (_start, _end, receivable, power), t_end in zip(fan.neighbors, ends):
+                signal = Signal(frame, receivable, t_end, power)
+                append((signal,))
+                append((signal, False))
+        else:
+            callbacks = fan.lossy_callbacks
+            nbytes = getattr(frame, "size_bytes", 0)
+            for (_start, sig_end, receivable, power), t_end in zip(fan.neighbors, ends):
+                signal = Signal(frame, receivable, t_end, power)
+                append((signal,))
+                # Sense-only neighbours never consult the error model; their
+                # end-of-signal is delivered directly.
+                append((sig_end, signal, nbytes) if receivable else (signal, False))
+        if sim.trace.wants("phy.tx"):
+            # The scalar path assigns tx_end's seq before the trace emit and
+            # the neighbour seqs after it; two runs keep even a trace sink
+            # that schedules during the emit on identical seqs.
+            sim.schedule_batch(times[:1], callbacks[:1], args[:1])
+            sim.emit(
                 "phy", "phy.tx", src=src.node_id, duration=duration,
                 neighbors=fan.width,
             )
-        nbytes = getattr(frame, "size_bytes", 0)
-        no_error = type(self.error_model) is NoError
-        starts, ends, departs = fan.timestamps(now, duration)
-        depart = self._depart
-        append = items.append
-        seq = sched.reserve_seqs(2 * fan.width) - 1
-        # zip() iteration over the parallel timestamp lists measures ~20%
-        # faster than indexed access at experiment fan-out widths.
-        for (sig_start, sig_end, receivable, power), t_start, t_end, t_depart \
-                in zip(fan.neighbors, starts, ends, departs):
-            signal = Signal(frame, receivable, t_end, power)
-            seq += 1
-            append((t_start, 0, seq, (sig_start, (signal,))))
-            seq += 1
-            if receivable and not no_error:
-                append((t_depart, 0, seq, (depart, (sig_end, signal, nbytes))))
-            else:
-                # Sense-only neighbours and a perfect medium never consult
-                # the error model; deliver the end-of-signal directly.
-                append((t_depart, 0, seq, (sig_end, (signal, False))))
-        sched.bulk_heap_insert(items)
+            sim.schedule_batch(times[1:], callbacks[1:], args[1:])
+        else:
+            sim.schedule_batch(times, callbacks, args, fan.presort)
 
     def _depart(
         self,

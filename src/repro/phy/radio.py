@@ -171,26 +171,26 @@ class Radio:
 
     def signal_end(self, signal: Signal, corrupted_by_medium: bool) -> None:
         """A transmission finished arriving; deliver or report the loss."""
+        signals = self._signals
         try:
-            self._signals.remove(signal)
+            signals.remove(signal)
         except ValueError:
             # The signal was discarded by a mid-flight shutdown (possibly
             # followed by a restart); the frame is simply lost.
             return
-        decodable = signal.receivable and not signal.corrupted
+        listener = self.listener
         if signal.receivable:
             if signal.corrupted:
                 self.collisions += 1
+                if listener is not None:
+                    listener.phy_rx_error()
             elif corrupted_by_medium:
                 self.medium_errors += 1
+                if listener is not None:
+                    listener.phy_rx_error()
             else:
                 self.rx_ok += 1
-        if self.listener is not None:
-            if decodable and not corrupted_by_medium:
-                self.listener.phy_receive(signal.frame)
-            elif signal.receivable:
-                self.listener.phy_rx_error()
-        if self.listener is not None and not (
-            self._transmitting or self._signals
-        ):
-            self.listener.phy_channel_idle()
+                if listener is not None:
+                    listener.phy_receive(signal.frame)
+        if listener is not None and not (self._transmitting or signals):
+            listener.phy_channel_idle()

@@ -1,4 +1,4 @@
-"""The :class:`Simulator` facade: scheduler + RNG registry + trace bus.
+"""The :class:`Simulator`: scheduler + RNG registry + trace bus.
 
 Every simulated entity holds a reference to one ``Simulator``; it is the
 composition root for a run and the only object scenario code needs to create
@@ -8,72 +8,37 @@ before building topology and protocol stacks.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Optional
+from typing import Any
 
-from .event import Event
 from .rng import RngRegistry
 from .scheduler import EventScheduler
 from .trace import TraceBus, TraceRecord
 
 
-class Simulator:
-    """A single deterministic simulation run."""
+class Simulator(EventScheduler):
+    """A single deterministic simulation run.
+
+    The simulator *is* its event scheduler, so ``sim.now`` is a plain
+    attribute read and ``sim.schedule``/``run``/``cancel`` are the
+    scheduler's own methods, with no forwarding layer on the hot paths.
+    ``sim.scheduler`` is kept as an alias of ``sim`` for code that wants to
+    name the scheduler role explicitly.  On top of the scheduler it carries
+    the named RNG streams and the trace bus.
+    """
 
     def __init__(self, seed: int = 1) -> None:
-        self.scheduler = EventScheduler()
+        super().__init__()
+        self.scheduler = self
         self.rng = RngRegistry(seed)
         self.trace = TraceBus()
         self.seed = seed
 
-    # -- time ----------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self.scheduler.now
-
     # -- scheduling shortcuts --------------------------------------------------
 
-    def at(
-        self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> Event:
-        """Schedule ``callback`` at absolute ``time``."""
-        return self.scheduler.schedule(time, callback, *args, **kwargs)
-
-    def after(
-        self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> Event:
-        """Schedule ``callback`` ``delay`` seconds from now."""
-        return self.scheduler.schedule_after(delay, callback, *args, **kwargs)
-
-    # Aliases matching the EventScheduler API so helpers like Timer can be
-    # constructed from either a Simulator or a bare EventScheduler.
-    def schedule(
-        self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> Event:
-        return self.scheduler.schedule(time, callback, *args, **kwargs)
-
-    def schedule_after(
-        self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> Event:
-        return self.scheduler.schedule_after(delay, callback, *args, **kwargs)
-
-    def schedule_batch(self, entries: list) -> int:
-        """Bulk-schedule fire-and-forget ``[(time, callback, args, name),
-        ...]`` entries (see :meth:`EventScheduler.schedule_batch`)."""
-        return self.scheduler.schedule_batch(entries)
-
-    def cancel(self, event: Optional[Event]) -> None:
-        """Cancel a pending event (None is a no-op)."""
-        self.scheduler.cancel(event)
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run the event loop (see :meth:`EventScheduler.run`)."""
-        self.scheduler.run(until=until, max_events=max_events)
-
-    def stop(self) -> None:
-        """Stop the running event loop after the current event."""
-        self.scheduler.stop()
+    #: ``sim.at(time, callback, *args)`` — schedule at an absolute time.
+    at = EventScheduler.schedule
+    #: ``sim.after(delay, callback, *args)`` — schedule ``delay`` from now.
+    after = EventScheduler.schedule_after
 
     # -- randomness -------------------------------------------------------------
 

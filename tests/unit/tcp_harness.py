@@ -65,3 +65,15 @@ def ack(sender, ack_no: int, echo_mrai=None, sacks: Tuple = ()) -> None:
 def sent_seqs(node: FakeNode) -> List[int]:
     """Sequence numbers of all data segments the node transmitted."""
     return [p.payload.seq for p in node.sent if p.payload.is_data]
+
+
+def hop_clock(sim: Simulator, time: float) -> None:
+    """Move the clock straight to ``time`` without running queued events.
+
+    Test-only: it lets ACK-driven estimators see chosen inter-arrival times
+    while the sender's retransmission timer stays armed and unfired.  The
+    clock never moves backwards.
+    """
+    if time < sim.now:
+        raise ValueError(f"clock hop backwards: {time} < {sim.now}")
+    sim.now = time

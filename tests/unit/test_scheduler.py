@@ -387,25 +387,60 @@ def test_reentrant_run_raises():
 
 
 # ---------------------------------------------------------------------------
-# schedule_batch — the PHY fan-out bulk-insertion API
+# schedule_batch — the PHY fan-out API: one batch becomes one sorted run
+
+
+def _batch(sched, *entries):
+    """``schedule_batch`` from ``(time, callback, args)`` rows."""
+    if not entries:
+        return sched.schedule_batch([], [], [])
+    times, callbacks, args = zip(*entries)
+    return sched.schedule_batch(list(times), list(callbacks), list(args))
+
+
+def _counts(sched):
+    return sched.pending_events, sched.processed_events
 
 
 def test_schedule_batch_empty_is_noop():
     sched = EventScheduler()
-    assert sched.schedule_batch([]) == 0
+    assert _batch(sched) == 0
     assert sched.pending_events == 0
     sched.run()
     assert sched.processed_events == 0
 
 
+def test_schedule_batch_rejects_ragged_columns():
+    sched = EventScheduler()
+    with pytest.raises(ValueError, match="differ in length"):
+        sched.schedule_batch([1.0, 2.0], [print], [(), ()])
+    assert _counts(sched) == (0, 0)
+
+
+def test_schedule_batch_presort_is_only_a_hint():
+    """A presort arrangement speeds the sort but never changes the run;
+    one that loses items is rejected before anything is scheduled."""
+    sched = EventScheduler()
+    order = []
+    times = [2.0, 1.0, 1.0, 3.0]
+    args = [(label,) for label in "abcd"]
+    sched.schedule_batch(times, [order.append] * 4, args, lambda items: items[::-1])
+    sched.run()
+    assert order == ["b", "c", "a", "d"]
+    with pytest.raises(ValueError, match="permutation"):
+        sched.schedule_batch(times, [order.append] * 4, args, lambda items: items[1:])
+    assert _counts(sched) == (0, 4)
+
+
 def test_schedule_batch_runs_in_time_order():
     sched = EventScheduler()
     order = []
-    assert sched.schedule_batch([
-        (2.0, order.append, ("b",), None),
-        (1.0, order.append, ("a",), None),
-        (3.0, order.append, ("c",), None),
-    ]) == 3
+    assert _batch(
+        sched,
+        (2.0, order.append, ("b",)),
+        (1.0, order.append, ("a",)),
+        (3.0, order.append, ("c",)),
+    ) == 3
     sched.run()
     assert order == ["a", "b", "c"]
 
@@ -413,44 +448,41 @@ def test_schedule_batch_runs_in_time_order():
 def test_schedule_batch_ties_fire_in_entry_order():
     sched = EventScheduler()
     order = []
-    sched.schedule_batch([(1.0, order.append, (label,), None) for label in "abcde"])
+    _batch(sched, *[(1.0, order.append, (label,)) for label in "abcde"])
     sched.run()
     assert order == list("abcde")
 
 
 def test_schedule_batch_interleaves_with_scalar_schedule_by_seq():
-    """Batch entries and scalar schedule calls share one seq counter, so
+    """Batch items and scalar schedule calls share one seq counter, so
     equal-timestamp events fire in overall insertion order regardless of
     which API inserted them."""
     sched = EventScheduler()
     order = []
     sched.schedule(1.0, order.append, "s1")
-    sched.schedule_batch([
-        (1.0, order.append, ("b1",), None),
-        (1.0, order.append, ("b2",), None),
-    ])
+    _batch(sched, (1.0, order.append, ("b1",)), (1.0, order.append, ("b2",)))
     sched.schedule(1.0, order.append, "s2")
-    sched.schedule_batch([(1.0, order.append, ("b3",), None)])
+    _batch(sched, (1.0, order.append, ("b3",)))
     sched.run()
     assert order == ["s1", "b1", "b2", "s2", "b3"]
 
 
 def test_schedule_batch_matches_scalar_schedule_execution_for_execution():
-    """A batch insert executes identically to the same sequence of scalar
+    """A batch executes identically to the same sequence of scalar
     schedule() calls: same order, same clock stops, same counters."""
 
     def fill(sched, use_batch):
         order = []
         entries = [
-            (0.5, lambda: order.append(("x", sched.now)), (), "phy.sig_start"),
-            (0.5, lambda: order.append(("y", sched.now)), (), "phy.sig_end"),
-            (0.2, lambda: order.append(("z", sched.now)), (), None),
+            (0.5, lambda: order.append(("x", sched.now)), ()),
+            (0.5, lambda: order.append(("y", sched.now)), ()),
+            (0.2, lambda: order.append(("z", sched.now)), ()),
         ]
         if use_batch:
-            sched.schedule_batch(entries)
+            _batch(sched, *entries)
         else:
-            for t, cb, args, name in entries:
-                sched.schedule(t, cb, *args, name=name)
+            for t, cb, args in entries:
+                sched.schedule(t, cb, *args)
         return order
 
     a, b = EventScheduler(), EventScheduler()
@@ -463,59 +495,53 @@ def test_schedule_batch_matches_scalar_schedule_execution_for_execution():
     assert a.pending_events == b.pending_events == 0
 
 
-def test_schedule_batch_into_past_raises_and_keeps_earlier_entries():
+def test_schedule_batch_into_past_raises_and_schedules_nothing():
     sched = EventScheduler()
     sched.schedule(1.0, lambda: None)
     sched.run()  # now == 1.0
     fired = []
     with pytest.raises(SchedulerError):
-        sched.schedule_batch([
-            (2.0, fired.append, ("ok",), None),
-            (0.5, fired.append, ("past",), None),
-        ])
-    # the valid leading entry stays scheduled, as with individual calls
-    assert sched.pending_events == 1
+        _batch(sched, (2.0, fired.append, ("ok",)), (0.5, fired.append, ("past",)))
+    # a batch is atomic: the valid entry is not scheduled either
+    assert sched.pending_events == 0
     sched.run()
-    assert fired == ["ok"]
+    assert fired == []
 
 
 def test_schedule_batch_seq_counter_survives_a_past_time_error():
-    """After a mid-batch error, later scalar inserts continue the seq
-    sequence from the last successfully scheduled batch entry."""
+    """A rejected batch consumes no seqs: later inserts keep insertion
+    order relative to everything scheduled before it."""
     sched = EventScheduler()
     sched.schedule(1.0, lambda: None)
     sched.run()
     order = []
+    _batch(sched, (2.0, order.append, ("batch",)))
     with pytest.raises(SchedulerError):
-        sched.schedule_batch([
-            (2.0, order.append, ("batch",), None),
-            (0.0, order.append, ("past",), None),
-        ])
+        _batch(sched, (2.0, order.append, ("lost",)), (0.0, order.append, ("past",)))
     sched.schedule(2.0, order.append, "scalar")
     sched.run()
     assert order == ["batch", "scalar"]
 
 
 def test_schedule_batch_entries_run_under_step_and_peek():
-    """The fire-and-forget heap entries work through every execution path,
-    not just run(): step() dispatches them and peek_time() sees them."""
+    """Run items work through every execution path, not just run():
+    step() fires them one at a time and peek_time() sees the run's head."""
     sched = EventScheduler()
     order = []
-    sched.schedule_batch([
-        (1.0, order.append, ("a",), None),
-        (2.0, order.append, ("b",), None),
-    ])
+    _batch(sched, (1.0, order.append, ("a",)), (2.0, order.append, ("b",)))
     assert sched.peek_time() == 1.0
     assert sched.step()
     assert order == ["a"] and sched.now == 1.0
+    assert _counts(sched) == (1, 1)
     assert sched.peek_time() == 2.0
     assert sched.step()
     assert not sched.step()
     assert order == ["a", "b"]
+    assert _counts(sched) == (0, 2)
 
 
 def test_schedule_batch_entries_do_not_touch_the_freelist():
-    """Batch entries are Event-free: they neither consume recycled events
+    """Batch items are Event-free: they neither consume recycled events
     nor park anything on the freelist when they fire."""
     sched = EventScheduler()
     sched.schedule(1.0, lambda: None)
@@ -523,25 +549,204 @@ def test_schedule_batch_entries_do_not_touch_the_freelist():
     sched.run()  # both events retire to the freelist
     before = len(sched._free)
     assert before >= 2
-    sched.schedule_batch([
-        (2.0, (lambda: None), (), None),
-        (2.0, (lambda: None), (), None),
-    ])
+    _batch(sched, (2.0, (lambda: None), ()), (2.0, (lambda: None), ()))
     assert len(sched._free) == before
     sched.run()
     assert len(sched._free) == before
 
 
 def test_cancelling_around_batch_entries_is_exact():
-    """Scalar events interleaved with (uncancellable) batch entries cancel
+    """Scalar events interleaved with (uncancellable) batch items cancel
     cleanly; the lazy-deletion sweep must recycle only real Events."""
     sched = EventScheduler()
     fired = []
     doomed = sched.schedule(1.0, fired.append, "scalar-doomed")
-    sched.schedule_batch([(1.0, fired.append, ("batch",), None)])
+    _batch(sched, (1.0, fired.append, ("batch",)))
     keeper = sched.schedule(1.0, fired.append, "scalar-kept")
     sched.cancel(doomed)
     assert sched.pending_events == 2
     sched.run()
     assert fired == ["batch", "scalar-kept"]
     assert keeper.fired
+
+
+# -- run firing: items leave a run in place, one key at a time ---------------
+
+
+def _three_step_run(sched, fired):
+    _batch(
+        sched,
+        (1.0, fired.append, (1.0,)),
+        (2.0, fired.append, (2.0,)),
+        (3.0, fired.append, (3.0,)),
+    )
+
+
+def test_until_between_two_items_of_one_run():
+    sched = EventScheduler()
+    fired = []
+    _three_step_run(sched, fired)
+    sched.run(until=2.5)
+    assert fired == [1.0, 2.0]
+    assert sched.now == 2.5
+    assert _counts(sched) == (1, 2)
+    assert sched.peek_time() == 3.0
+    sched.run()
+    assert fired == [1.0, 2.0, 3.0]
+    assert _counts(sched) == (0, 3)
+
+
+def test_until_exactly_on_an_item_includes_it():
+    sched = EventScheduler()
+    fired = []
+    _three_step_run(sched, fired)
+    sched.run(until=2.0)
+    assert fired == [1.0, 2.0]
+    assert sched.now == 2.0
+    assert _counts(sched) == (1, 2)
+
+
+def test_max_events_truncates_mid_run():
+    sched = EventScheduler()
+    fired = []
+    _three_step_run(sched, fired)
+    sched.run(until=10.0, max_events=2)
+    assert fired == [1.0, 2.0]
+    assert sched.now == 2.0  # not 10.0: the 3.0 item is still queued
+    assert _counts(sched) == (1, 2)
+    sched.run(max_events=5)
+    assert fired == [1.0, 2.0, 3.0]
+    assert _counts(sched) == (0, 3)
+
+
+def test_run_callback_calling_stop_halts_between_items():
+    sched = EventScheduler()
+    fired = []
+    _batch(
+        sched,
+        (1.0, fired.append, ("a",)),
+        (1.0, sched.stop, ()),
+        (1.0, fired.append, ("c",)),
+    )
+    sched.run(until=5.0)
+    assert fired == ["a"]
+    assert sched.now == 1.0  # a stopped run does not jump to until
+    assert _counts(sched) == (1, 2)
+    sched.run()
+    assert fired == ["a", "c"]
+    assert _counts(sched) == (0, 3)
+
+
+def test_step_and_peek_over_a_partly_consumed_run():
+    sched = EventScheduler()
+    fired = []
+    _three_step_run(sched, fired)
+    sched.schedule(2.5, fired.append, "event")
+    sched.run(max_events=1)
+    assert fired == [1.0]
+    assert sched.peek_time() == 2.0
+    assert sched.step()
+    assert fired == [1.0, 2.0] and sched.now == 2.0
+    assert _counts(sched) == (2, 2)
+    assert sched.peek_time() == 2.5
+    assert sched.step()
+    assert sched.peek_time() == 3.0
+    assert _counts(sched) == (1, 3)
+    assert sched.step()
+    assert not sched.step()
+    assert fired == [1.0, 2.0, "event", 3.0]
+    assert _counts(sched) == (0, 4)
+
+
+def test_run_callback_scheduling_at_the_next_items_timestamp():
+    """An event a run item schedules at the run's next timestamp fires by
+    its own key: after the item when it sorts later (higher seq), before
+    it when its priority sorts it earlier."""
+    sched = EventScheduler()
+    fired = []
+
+    def spawn():
+        fired.append("spawn")
+        sched.schedule(1.0, fired.append, "later-seq")
+        sched.schedule(1.0, fired.append, "urgent", priority=-1)
+
+    _batch(sched, (1.0, spawn, ()), (1.0, fired.append, ("next",)))
+    sched.run()
+    assert fired == ["spawn", "urgent", "next", "later-seq"]
+    assert _counts(sched) == (0, 4)
+
+
+def test_run_callback_cancelling_an_event_at_the_next_timestamp():
+    """An Event queued before the run at the same timestamp as the run's
+    next item precedes that item (lower seq); cancelling it from inside
+    the run removes it without disturbing the item or the counters."""
+    sched = EventScheduler()
+    fired = []
+    early = sched.schedule(2.0, fired.append, "early")
+    doomed = sched.schedule(2.0, fired.append, "doomed")
+
+    def cancel_doomed():
+        fired.append("canceller")
+        sched.cancel(doomed)
+
+    _batch(sched, (1.0, cancel_doomed, ()), (2.0, fired.append, ("item",)))
+    assert _counts(sched) == (4, 0)
+    sched.run(max_events=1)
+    assert fired == ["canceller"]
+    assert _counts(sched) == (2, 1)
+    sched.run()
+    assert fired == ["canceller", "early", "item"]
+    assert early.fired and doomed.cancelled and not doomed.fired
+    assert _counts(sched) == (0, 3)
+
+
+def test_peek_time_inside_a_run_callback_sees_the_runs_next_item():
+    sched = EventScheduler()
+    seen = []
+    sched.schedule(5.0, lambda: None)
+    _batch(
+        sched,
+        (1.0, lambda: seen.append((sched.peek_time(), sched.pending_events)), ()),
+        (2.0, lambda: None, ()),
+    )
+    sched.run()
+    assert seen == [(2.0, 2)]
+
+
+def test_step_inside_run_raises():
+    sched = EventScheduler()
+    errors = []
+
+    def nested():
+        try:
+            sched.step()
+        except SchedulerError as exc:
+            errors.append(exc)
+
+    _batch(sched, (1.0, nested, ()), (2.0, lambda: None, ()))
+    sched.run()
+    assert len(errors) == 1
+    assert _counts(sched) == (0, 2)
+
+
+def test_callback_raising_mid_run_keeps_the_remainder_queued():
+    sched = EventScheduler()
+    fired = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    _batch(
+        sched,
+        (1.0, fired.append, ("a",)),
+        (1.0, boom, ()),
+        (2.0, fired.append, ("c",)),
+    )
+    with pytest.raises(RuntimeError):
+        sched.run()
+    assert fired == ["a"]
+    assert _counts(sched) == (1, 2)
+    assert sched.peek_time() == 2.0
+    sched.run()
+    assert fired == ["a", "c"]
+    assert _counts(sched) == (0, 3)

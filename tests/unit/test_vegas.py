@@ -4,14 +4,14 @@ import pytest
 
 from repro.transport import TcpVegas
 
-from .tcp_harness import ack, make_sender
+from .tcp_harness import ack, hop_clock, make_sender
 
 
 def feed_rtt(sim, sender, rtt):
     """Advance time and deliver an ACK so the timed sample equals ``rtt``."""
     target = sender._timed_at + rtt
     if target > sim.now:
-        sim.scheduler._now = target  # direct clock hop (test-only)
+        hop_clock(sim, target)
     ack(sender, sender.snd_nxt)
 
 
